@@ -451,12 +451,17 @@ def test_slab_submit_future_economy(table_bundle, save_result,
 
     gc.collect()
     slab_records, slab_dt = asyncio.run(bulk())
+    bulk_slabs = list(created)
     single_records, single_dt = asyncio.run(streaming())
+    single_slabs = created[len(bulk_slabs):]
 
     # The acceptance assertion: ceil(256 / 16) slabs, one future each.
-    assert len(created) == 16
-    assert all(slab.count == 16 for slab in created)
-    assert len({id(slab.future) for slab in created}) == 16
+    assert len(bulk_slabs) == 16
+    assert all(slab.count == 16 for slab in bulk_slabs)
+    assert len({id(slab.future) for slab in bulk_slabs}) == 16
+    # Streaming submit enqueues one slab of one per request.
+    assert len(single_slabs) == len(burst)
+    assert all(slab.count == 1 for slab in single_slabs)
 
     # Bulk and streaming submission produce identical records in order.
     assert [(r.spec, r.n_threads) for r in slab_records] \
@@ -466,17 +471,17 @@ def test_slab_submit_future_economy(table_bundle, save_result,
     single_rps = len(burst) / single_dt
     save_result("serve_slab_submit", format_table(
         [{"mode": "submit_many (slabs)", "req_per_s": round(slab_rps, 1),
-          "futures": len(created)},
+          "futures": len(bulk_slabs)},
          {"mode": "per-request submit", "req_per_s": round(single_rps, 1),
-          "futures": len(burst)}],
+          "futures": len(single_slabs)}],
         title="256-request burst: slab-batched vs per-request submission "
               "(max_batch=16, instant backend)"))
     save_bench_json("serve", "slab_submit", {
         "req_per_s": round(slab_rps, 1), "served": len(burst),
-        "futures": len(created)})
+        "futures": len(bulk_slabs)})
     save_bench_json("serve", "per_request_submit", {
         "req_per_s": round(single_rps, 1), "served": len(burst),
-        "futures": len(burst)})
+        "futures": len(single_slabs)})
 
 
 # -- tracing overhead ----------------------------------------------------
@@ -833,8 +838,8 @@ def test_cost_aware_fleet_routing_parity(fleet_registry, save_result,
                                          save_bench_json):
     """Cost-weighted routing must not tax a uniform trace.
 
-    On uniform per-request cost the :class:`CostAwareLeastLoadedRouter`
-    degenerates to least-loaded-by-count, so a 4-worker fleet must
+    On uniform per-request cost a :class:`LeastLoadedRouter` given a
+    cost model degenerates to least-loaded-by-count, so a 4-worker fleet must
     sustain the same throughput (0.7x floor absorbs process-spawn and
     scheduling noise) with bitwise-identical selections.
     """

@@ -42,13 +42,11 @@ from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.transport import (ErrorFrame, ReadyFrame, ReloadedFrame,
                                    ReloadFrame, ResultFrame, SlabFrame,
                                    StatsFrame, StatsReply, StopFrame,
-                                   StoppedFrame, chunk_slots,
-                                   chunk_slots_by_cost)
+                                   StoppedFrame, chunk_slots)
 from repro.fleet.worker import worker_main
 from repro.serve.cost import CostModel
 from repro.serve.request import ServerClosed, ServerOverloaded
 from repro.serve.router import (CanaryRouter, ConsistentHashRouter,
-                                CostAwareLeastLoadedRouter,
                                 LeastLoadedRouter)
 
 
@@ -101,9 +99,10 @@ class FleetServer:
         backend factory) before anything spawns.
     router:
         ``"least_loaded"`` (default; live in-flight counts),
-        ``"cost_least_loaded"`` (live outstanding predicted FLOPs —
-        a worker holding two huge requests finally looks heavier than
-        one holding three tiny ones),
+        ``"cost_least_loaded"`` (the same router weighing live
+        outstanding predicted FLOPs — a worker holding two huge
+        requests finally looks heavier than one holding three tiny
+        ones),
         ``"hash"``/``"consistent_hash"`` (stable shape→worker affinity
         on a hash ring), or any
         :class:`~repro.serve.router.ShardRouter` instance whose shard
@@ -111,7 +110,7 @@ class FleetServer:
     cost_model:
         The :class:`~repro.serve.cost.CostModel` pricing bursts for
         slab chopping, the outstanding-cost gauges and the cost-aware
-        router (default: raw per-spec FLOPs).
+        ``"cost_least_loaded"`` router (default: raw per-spec FLOPs).
     max_pending:
         Fleet-wide admission cap; defaults to twice the summed worker
         queue capacity (the front should reject before workers do).
@@ -152,12 +151,15 @@ class FleetServer:
                       version="latest", backend: str = None,
                       backend_args=(), watch_interval_s: float = None,
                       registry=None, name_prefix: str = "worker",
+                      max_pending: int = None, cost_model=None,
+                      spawn_timeout_s: float = 60.0,
+                      stats_timeout_s: float = 10.0,
                       **worker_kwargs) -> "FleetServer":
         """A homogeneous fleet: ``workers`` identical specs over one cell set.
 
-        ``worker_kwargs`` forward to every
-        :class:`~repro.fleet.spec.WorkerSpec` (``max_batch``,
-        ``max_queue``, ``seed``, ...).
+        The named keywords configure the front :class:`FleetServer`; every
+        other keyword forwards to each :class:`~repro.fleet.spec.WorkerSpec`
+        (``max_batch``, ``max_queue``, ``seed``, ...).
         """
         if int(workers) < 1:
             raise ValueError("workers must be >= 1")
@@ -169,7 +171,9 @@ class FleetServer:
                             watch_interval_s=watch_interval_s,
                             **worker_kwargs)
                  for i in range(int(workers))]
-        return cls(specs, router=router, registry=registry)
+        return cls(specs, router=router, max_pending=max_pending,
+                   registry=registry, spawn_timeout_s=spawn_timeout_s,
+                   stats_timeout_s=stats_timeout_s, cost_model=cost_model)
 
     # -- plumbing ---------------------------------------------------------
     def _build_router(self, choice):
@@ -178,8 +182,8 @@ class FleetServer:
             return LeastLoadedRouter(names, loads=self._live_loads)
         if choice in ("cost_least_loaded", "cost-least-loaded",
                       "cost_aware"):
-            return CostAwareLeastLoadedRouter(names, loads=self._live_costs,
-                                              cost_model=self.cost_model)
+            return LeastLoadedRouter(names, loads=self._live_costs,
+                                     cost_model=self.cost_model)
         if choice in ("hash", "consistent_hash", "consistent-hash"):
             return ConsistentHashRouter(names)
         if isinstance(choice, str):
@@ -470,12 +474,8 @@ class FleetServer:
             return []
         self._check_open()
         n = len(specs)
-        if worker is not None:
-            names = [worker] * n
-        else:
-            names = list(self.router.route_batch(specs, client)
-                         if hasattr(self.router, "route_batch")
-                         else (self.router.route(s, client) for s in specs))
+        names = ([worker] * n if worker is not None
+                 else self.router.route_batch(specs, client))
         for name in set(names):
             target = self._workers.get(name)
             if target is None:
@@ -499,14 +499,8 @@ class FleetServer:
         sends = []
         for name, slots in by_worker.items():
             target = self._workers[name]
-            budget = target.spec.max_batch_cost
-            if budget is not None:
-                chunks = chunk_slots_by_cost(
-                    slots, [costs[i] for i in slots],
-                    target.spec.max_batch, budget)
-            else:
-                chunks = chunk_slots(slots, target.spec.max_batch)
-            for chunk in chunks:
+            for chunk in chunk_slots(slots, target.spec.max_batch, costs,
+                                     target.spec.max_batch_cost):
                 msg_id, future = self._register(
                     target, len(chunk), cost=sum(costs[i] for i in chunk))
                 self.telemetry.record_dispatch(name, len(chunk))

@@ -59,11 +59,14 @@ class Reservoir:
     indexing and ``len`` (of the *retained* sample), while ``count``,
     ``total``, ``minimum`` and ``maximum`` stay exact over every value
     ever observed.  The replacement RNG is seeded, so two processes
-    replaying the same stream retain the same subsample.
+    replaying the same stream retain the same subsample; it is built
+    only once ``count`` first exceeds ``capacity`` (no draw happens
+    before that), so a reservoir that never saturates never pays for
+    one.
     """
 
     __slots__ = ("capacity", "count", "total", "minimum", "maximum",
-                 "_data", "_rng")
+                 "_data", "_seed", "_rng")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, seed: int = 0):
         if int(capacity) < 1:
@@ -74,7 +77,8 @@ class Reservoir:
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
         self._data: List[float] = []
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
 
     # -- recording -------------------------------------------------------
     def append(self, value) -> None:
@@ -89,6 +93,8 @@ class Reservoir:
             self._data.append(value)
             return
         # Algorithm R: retained sample stays uniform over all observed.
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
         j = self._rng.randrange(self.count)
         if j < self.capacity:
             self._data[j] = value

@@ -21,14 +21,17 @@ request stream:
   :class:`~repro.serve.scheduler.BatchPolicy` — dynamic micro-batching:
   a batch closes when it reaches ``max_batch`` or ``max_wait_ms`` after
   its first request.
-* routers — :class:`~repro.serve.router.HashRouter` /
+* routers — every one a :class:`~repro.serve.router.ShardRouter`
+  writing only ``route_batch``:
+  :class:`~repro.serve.router.SingleShardRouter` (one shard),
+  :class:`~repro.serve.router.HashRouter` /
   :class:`~repro.serve.router.ConsistentHashRouter` (replicas, the
   latter stable under membership changes),
   :class:`~repro.serve.router.LeastLoadedRouter` (live in-flight
-  counts), :class:`~repro.serve.router.CanaryRouter` (deterministic
+  slots, or predicted cost given a cost model),
+  :class:`~repro.serve.router.CanaryRouter` (deterministic
   traffic-fraction split for rollouts),
-  :class:`~repro.serve.router.RoutineRouter` /
-  :class:`~repro.serve.router.SpecTypeRouter` (per routine family),
+  :class:`~repro.serve.router.RoutineRouter` (per routine family),
   :class:`~repro.serve.router.TenantRouter` (per client).
 * :mod:`~repro.serve.trace` — Poisson load generation and the replay
   harness shared by the CLI, the serve benchmark and the examples.
@@ -38,15 +41,13 @@ Thread choices are bitwise identical to synchronous
 engine's batch prediction is exact.
 """
 
-from repro.serve.cost import CostModel, chunk_by_cost
-from repro.serve.request import (ReloadCommand, ServeRequest, ServerClosed,
-                                 ServerOverloaded)
+from repro.serve.cost import CostModel, chunk_slots
+from repro.serve.request import ReloadCommand, ServerClosed, ServerOverloaded
 from repro.serve.router import (CanaryRouter, ConsistentHashRouter,
-                                CostAwareLeastLoadedRouter, HashRouter,
-                                LeastLoadedRouter, RoundRobinRouter,
+                                HashRouter, LeastLoadedRouter,
                                 RoutineRouter, ShardRouter,
-                                SingleShardRouter, SpecTypeRouter,
-                                TenantRouter, default_router)
+                                SingleShardRouter, TenantRouter,
+                                default_router)
 from repro.serve.scheduler import BatchPolicy, MicroBatcher
 from repro.serve.server import GemmServer
 from repro.serve.telemetry import ServeTelemetry
@@ -57,7 +58,6 @@ __all__ = [
     "BatchPolicy",
     "CanaryRouter",
     "ConsistentHashRouter",
-    "CostAwareLeastLoadedRouter",
     "CostModel",
     "GemmServer",
     "HashRouter",
@@ -65,18 +65,15 @@ __all__ = [
     "MicroBatcher",
     "ReloadCommand",
     "ReplayOutcome",
-    "RoundRobinRouter",
     "RoutineRouter",
-    "ServeRequest",
     "ServeTelemetry",
     "ServerClosed",
     "ServerOverloaded",
     "ShardRouter",
     "SingleShardRouter",
-    "SpecTypeRouter",
     "TenantRouter",
     "TimedRequest",
-    "chunk_by_cost",
+    "chunk_slots",
     "default_router",
     "poisson_trace",
     "replay_trace",

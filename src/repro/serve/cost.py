@@ -13,12 +13,13 @@ into a single pricing surface:
   instead of waiting for ``max_batch`` slots, so one heavy GEMM no
   longer defines the latency of the thirty cheap GEMVs sharing its
   window;
-* slab framing — :func:`chunk_by_cost` chops a routed burst on the same
+* slab framing — :func:`chunk_slots` chops a routed burst on the same
   budget, so slabs crossing a fleet pipe are cost-balanced, not merely
   count-balanced;
-* routing — :class:`~repro.serve.router.CostAwareLeastLoadedRouter`
-  weights a worker's in-flight load by outstanding predicted FLOPs, so
-  "two huge requests" finally looks heavier than "three tiny ones".
+* routing — :class:`~repro.serve.router.LeastLoadedRouter` given a
+  cost model weights a worker's in-flight load by outstanding predicted
+  FLOPs, so "two huge requests" finally looks heavier than "three tiny
+  ones".
 
 Costs are *relative* weights, not wall-clock predictions: the default
 model prices a spec at its raw FLOP count, and ``scales`` lets a
@@ -107,32 +108,35 @@ class CostModel:
         return sum(self.cost_of(specs))
 
 
-def chunk_by_cost(slots, costs, max_batch: int, max_cost: float = None):
-    """Yield runs of ``slots`` bounded by count *and* predicted cost.
+def chunk_slots(slots, max_batch: int, costs=None, max_cost: float = None):
+    """Chop ``slots`` into slabs of at most ``max_batch`` (slab framing).
 
-    The budgeted twin of :func:`repro.fleet.transport.chunk_slots`:
-    every yielded chunk holds at most ``max_batch`` slots and (when
-    ``max_cost`` is set) at most ``max_cost`` summed cost — except that
-    a single slot over budget still gets a chunk of its own, because a
-    request can only shrink a batch, never be refused by one.  With
-    ``max_cost=None`` the boundaries are exactly the count-only ones.
-
-    ``costs`` is slot-aligned with ``slots`` (``costs[i]`` prices
-    ``slots[i]``'s spec).
+    With ``max_cost`` set, a slab also closes before its summed cost
+    would exceed the budget — except that a single slot over budget
+    still gets a slab of its own, because a request can only shrink a
+    batch, never be refused by one.  ``costs[s]`` prices slot ``s``
+    (slots are indices into the burst ``costs`` was priced from).
+    Without a budget the boundaries are plain ``max_batch`` slices and
+    ``costs`` is ignored.
     """
     if int(max_batch) < 1:
         raise ValueError("max_batch must be >= 1")
-    if max_cost is not None and float(max_cost) <= 0:
+    if max_cost is None:
+        return [slots[start:start + max_batch]
+                for start in range(0, len(slots), max_batch)]
+    if float(max_cost) <= 0:
         raise ValueError("max_cost must be > 0 (or None for count-only)")
+    chunks: list = []
     chunk: list = []
     chunk_cost = 0.0
-    for slot, cost in zip(slots, costs):
+    for slot in slots:
+        cost = costs[slot]
         if chunk and (len(chunk) >= max_batch
-                      or (max_cost is not None
-                          and chunk_cost + cost > max_cost)):
-            yield chunk
+                      or chunk_cost + cost > max_cost):
+            chunks.append(chunk)
             chunk, chunk_cost = [], 0.0
         chunk.append(slot)
         chunk_cost += cost
     if chunk:
-        yield chunk
+        chunks.append(chunk)
+    return chunks

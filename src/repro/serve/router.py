@@ -3,15 +3,19 @@
 A multi-tenant :class:`~repro.serve.server.GemmServer` fronts several
 shards — one per machine profile (e.g. ``gadi`` and ``setonix``
 simulators), per routine family, or per replica — and a router maps
-each ``(spec, client)`` pair to a shard name.  :class:`HashRouter`,
-:class:`SpecTypeRouter`, :class:`RoutineRouter` and
+each ``(spec, client)`` pair to a shard name.  Every router derives
+from :class:`ShardRouter` and writes only ``route_batch``; ``route`` is
+its one-spec case.
+
+:class:`SingleShardRouter`, :class:`HashRouter`,
+:class:`ConsistentHashRouter`, :class:`RoutineRouter` and
 :class:`TenantRouter` are stateless deterministic functions of their
 inputs, so replaying a trace through them reproduces the exact same
 shard assignment (and therefore the same per-shard cache and batch
-behaviour).  :class:`RoundRobinRouter` is the exception: it spreads by
-*admission order*, which under concurrent clients depends on task
-interleaving — use it for stateless replica load-spreading, not when
-replay reproducibility matters.
+behaviour).  :class:`LeastLoadedRouter` routes on live load, so its
+assignments depend on what is in flight — use it for replica
+load-spreading, not when replay reproducibility matters.
+:class:`CanaryRouter` wraps any of them for a rollout.
 
 For mixed-routine traffic, :class:`RoutineRouter` is the deployment
 default: one shard per routine name, each holding that routine's
@@ -23,27 +27,16 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Protocol, runtime_checkable
 
 from repro.core.routines import routine_of
 from repro.engine.cache import routine_key
-from repro.serve.cost import CostModel
 
 
-@runtime_checkable
-class ShardRouter(Protocol):
-    """Structural protocol: map a request to a shard name.
-
-    Routers may additionally expose a vectorised
-    ``route_batch(specs, client)`` returning one shard name per spec;
-    the server uses it to assign a whole burst in one call instead of
-    N protocol dispatches.  Every built-in router implements it (a
-    plain ``route`` loop stays the semantic reference: ``route_batch``
-    must equal ``[route(s, client) for s in specs]`` element-wise).
-    """
-
-    def route(self, spec, client: str = "default") -> str:
-        ...  # pragma: no cover - protocol stub
+def _key_hash(data: str) -> int:
+    """Stable 64-bit hash of ``data`` (blake2b, not Python's salted
+    ``hash``), so assignments agree across processes and runs."""
+    digest = hashlib.blake2b(data.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 def _require_shards(shards) -> list:
@@ -53,20 +46,58 @@ def _require_shards(shards) -> list:
     return names
 
 
-class SingleShardRouter:
+class ShardRouter:
+    """Base class: map requests to shard names.
+
+    Subclasses implement ``route_batch(specs, client)``, returning one
+    shard name per spec; the server assigns a whole burst in one call.
+    :meth:`route` is ``route_batch([spec], client)[0]``, so the scalar
+    and batch answers agree by construction.
+    """
+
+    def route(self, spec, client: str = "default") -> str:
+        return self.route_batch([spec], client)[0]
+
+    def route_batch(self, specs, client: str = "default") -> list:
+        raise NotImplementedError
+
+
+class _KeyedRouter(ShardRouter):
+    """A router whose answer depends only on ``key(spec)``.
+
+    ``route_batch`` looks each *distinct* key up once: repeated shapes
+    in a burst (the common case the cache exists for) hash once.
+    """
+
+    def key(self, spec):
+        raise NotImplementedError
+
+    def shard_for(self, key) -> str:
+        raise NotImplementedError
+
+    def route_batch(self, specs, client: str = "default") -> list:
+        memo: dict = {}
+        out = []
+        for spec in specs:
+            key = self.key(spec)
+            shard = memo.get(key)
+            if shard is None:
+                shard = memo[key] = self.shard_for(key)
+            out.append(shard)
+        return out
+
+
+class SingleShardRouter(ShardRouter):
     """Everything goes to the one shard (the single-tenant default)."""
 
     def __init__(self, shard: str = "default"):
         self.shard = str(shard)
 
-    def route(self, spec, client: str = "default") -> str:
-        return self.shard
-
     def route_batch(self, specs, client: str = "default") -> list:
         return [self.shard] * len(specs)
 
 
-class HashRouter:
+class HashRouter(_KeyedRouter):
     """Deterministic shape-hash spreading across identical replicas.
 
     The same shape always lands on the same shard (its prediction stays
@@ -78,26 +109,14 @@ class HashRouter:
     def __init__(self, shards):
         self.shards = _require_shards(shards)
 
-    def route(self, spec, client: str = "default") -> str:
-        digest = hashlib.blake2b(repr(routine_key(spec)).encode(),
-                                 digest_size=8).digest()
-        return self.shards[int.from_bytes(digest, "little") % len(self.shards)]
+    def key(self, spec):
+        return routine_key(spec)
 
-    def route_batch(self, specs, client: str = "default") -> list:
-        # One digest per *distinct* key: repeated shapes in a burst
-        # (the common case the cache exists for) hash once.
-        memo: dict = {}
-        out = []
-        for spec in specs:
-            key = routine_key(spec)
-            shard = memo.get(key)
-            if shard is None:
-                shard = memo[key] = self.route(spec, client)
-            out.append(shard)
-        return out
+    def shard_for(self, key) -> str:
+        return self.shards[_key_hash(repr(key)) % len(self.shards)]
 
 
-class ConsistentHashRouter:
+class ConsistentHashRouter(_KeyedRouter):
     """Hash-ring spreading that survives shard membership changes.
 
     :class:`HashRouter` maps keys with ``hash % n``, so losing one
@@ -120,17 +139,12 @@ class ConsistentHashRouter:
         for shard in _require_shards(shards):
             self.add(shard)
 
-    @staticmethod
-    def _hash(data: str) -> int:
-        digest = hashlib.blake2b(data.encode(), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
-
     def add(self, shard: str) -> None:
         if shard in self.shards:
             return
         self.shards.append(shard)
         for i in range(self.replicas):
-            point = self._hash(f"{shard}#{i}")
+            point = _key_hash(f"{shard}#{i}")
             at = bisect.bisect_left(self._points, point)
             self._points.insert(at, point)
             self._owners.insert(at, shard)
@@ -145,25 +159,59 @@ class ConsistentHashRouter:
         self._points = [self._points[i] for i in keep]
         self._owners = [self._owners[i] for i in keep]
 
-    def route(self, spec, client: str = "default") -> str:
-        point = self._hash(repr(routine_key(spec)))
+    def key(self, spec):
+        return routine_key(spec)
+
+    def shard_for(self, key) -> str:
+        point = _key_hash(repr(key))
         at = bisect.bisect_right(self._points, point) % len(self._points)
         return self._owners[at]
 
+
+class RoutineRouter(_KeyedRouter):
+    """Route by the spec's *routine name* (one shard per routine family).
+
+    Shards are looked up by the spec's ``routine`` attribute (bare dims
+    triples count as "gemm"), so registry-driven deployments can wire
+    mixed-routine traffic without importing any spec class.  With
+    ``routes`` omitted, each routine maps to the shard of its own name —
+    the natural layout when shards are built from a model registry's
+    ``(routine, machine)`` cells.
+    """
+
+    def __init__(self, routes: dict = None, default: str = None):
+        self.routes = dict(routes) if routes is not None else None
+        self.default = default
+
+    def key(self, spec):
+        return routine_of(spec)
+
+    def shard_for(self, routine) -> str:
+        if self.routes is None:
+            return routine
+        shard = self.routes.get(routine, self.default)
+        if shard is None:
+            raise KeyError(f"no shard registered for routine {routine!r} "
+                           f"(have {sorted(self.routes)})")
+        return shard
+
+
+class TenantRouter(ShardRouter):
+    """Route by client identity (one shard per tenant or tenant group)."""
+
+    def __init__(self, routes: dict, default: str = None):
+        self.routes = dict(routes)
+        self.default = default
+
     def route_batch(self, specs, client: str = "default") -> list:
-        memo: dict = {}  # one ring lookup per distinct key
-        out = []
-        for spec in specs:
-            key = routine_key(spec)
-            shard = memo.get(key)
-            if shard is None:
-                shard = memo[key] = self.route(spec, client)
-            out.append(shard)
-        return out
+        shard = self.routes.get(client, self.default)
+        if shard is None:
+            raise KeyError(f"no shard registered for client {client!r}")
+        return [shard] * len(specs)
 
 
-class LeastLoadedRouter:
-    """Route each request to the shard holding the fewest in-flight slots.
+class LeastLoadedRouter(ShardRouter):
+    """Route each request to the shard holding the least in-flight load.
 
     ``loads`` supplies the live occupancy — either a dict the owner
     mutates in place or a zero-argument callable returning one — and
@@ -173,14 +221,20 @@ class LeastLoadedRouter:
     spreads a burst: each routed slot will occupy its shard the moment
     the burst is admitted, so simulating that admission is what makes
     the batch land exactly where sequential route-then-admit calls
-    would have put it.  Like :class:`RoundRobinRouter`, assignments
-    depend on live state, not only on the spec — use it for replica
-    load-spreading, not when replay reproducibility matters.
+    would have put it.
+
+    With ``cost_model=None`` every slot weighs 1 and ``loads`` are
+    in-flight slot counts.  With a :class:`~repro.serve.cost.CostModel`,
+    ``loads`` are outstanding predicted FLOPs (the fleet front supplies
+    its live per-worker cost gauge) and each routed slot weighs its
+    predicted cost, so a worker holding two huge GEMMs finally looks
+    heavier than one holding three tiny GEMVs.
     """
 
-    def __init__(self, shards, loads=None):
+    def __init__(self, shards, loads=None, cost_model=None):
         self.shards = _require_shards(shards)
         self._loads = loads if loads is not None else {}
+        self.cost_model = cost_model
 
     def current_loads(self) -> dict:
         return dict(self._loads() if callable(self._loads) else self._loads)
@@ -195,42 +249,10 @@ class LeastLoadedRouter:
                 raise ValueError("cannot remove the last shard")
             self.shards.remove(shard)
 
-    def route(self, spec, client: str = "default") -> str:
-        loads = self.current_loads()
-        return min(self.shards, key=lambda s: loads.get(s, 0))
-
     def route_batch(self, specs, client: str = "default") -> list:
         loads = self.current_loads()
-        out = []
-        for _ in specs:
-            shard = min(self.shards, key=lambda s: loads.get(s, 0))
-            loads[shard] = loads.get(shard, 0) + 1
-            out.append(shard)
-        return out
-
-
-class CostAwareLeastLoadedRouter(LeastLoadedRouter):
-    """Least-loaded routing weighted by outstanding *predicted cost*.
-
-    :class:`LeastLoadedRouter` counts in-flight request slots, so a
-    worker holding two huge GEMMs looks less loaded than one holding
-    three tiny GEMVs.  This router reads ``loads`` as outstanding
-    predicted FLOPs per shard (the fleet front supplies its live
-    per-worker cost gauge) and ``route_batch`` simulates its own
-    assignments by each slot's *cost* rather than by 1 — a burst
-    spreads so every shard ends up with a near-equal predicted-FLOPs
-    share, whatever the request mix.  Tie-breaking stays registration
-    order, so identical load states still route identically.
-    """
-
-    def __init__(self, shards, loads=None, cost_model=None):
-        super().__init__(shards, loads=loads)
-        self.cost_model = cost_model if cost_model is not None \
-            else CostModel()
-
-    def route_batch(self, specs, client: str = "default") -> list:
-        loads = self.current_loads()
-        costs = self.cost_model.cost_of(specs)
+        costs = (self.cost_model.cost_of(specs)
+                 if self.cost_model is not None else [1] * len(specs))
         out = []
         for cost in costs:
             shard = min(self.shards, key=lambda s: loads.get(s, 0))
@@ -239,7 +261,7 @@ class CostAwareLeastLoadedRouter(LeastLoadedRouter):
         return out
 
 
-class CanaryRouter:
+class CanaryRouter(ShardRouter):
     """Divert a deterministic key fraction of traffic to one shard.
 
     Wraps a base router during a canary rollout: every spec whose
@@ -251,7 +273,8 @@ class CanaryRouter:
     traffic sets rather than a random sample.
     """
 
-    def __init__(self, base, canary: str, fraction: float = 0.25):
+    def __init__(self, base: ShardRouter, canary: str,
+                 fraction: float = 0.25):
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
         self.base = base
@@ -259,154 +282,20 @@ class CanaryRouter:
         self.fraction = float(fraction)
 
     def _is_canary(self, spec) -> bool:
-        digest = hashlib.blake2b(
-            b"canary:" + repr(routine_key(spec)).encode(),
-            digest_size=8).digest()
-        bucket = int.from_bytes(digest, "little") / float(2 ** 64)
-        return bucket < self.fraction
-
-    def route(self, spec, client: str = "default") -> str:
-        if self._is_canary(spec):
-            return self.canary
-        return self.base.route(spec, client)
+        bucket = _key_hash("canary:" + repr(routine_key(spec)))
+        return bucket / float(2 ** 64) < self.fraction
 
     def route_batch(self, specs, client: str = "default") -> list:
         # The base router must see only the slots it will actually own:
-        # a stateful base (least-loaded, round-robin) would otherwise
-        # account for slots the canary took.
-        flags = [self._is_canary(spec) for spec in specs]
-        rest = [i for i, taken in enumerate(flags) if not taken]
+        # a stateful base (least-loaded) would otherwise account for
+        # slots the canary took.
+        rest = [i for i, spec in enumerate(specs) if not self._is_canary(spec)]
         out: list = [self.canary] * len(specs)
         if rest:
-            base_route = getattr(self.base, "route_batch", None)
-            if base_route is not None:
-                names = base_route([specs[i] for i in rest], client)
-            else:
-                names = [self.base.route(specs[i], client) for i in rest]
+            names = self.base.route_batch([specs[i] for i in rest], client)
             for i, name in zip(rest, names):
                 out[i] = name
         return out
-
-
-class RoundRobinRouter:
-    """Cycle through shards in admission order (replica load-spreading)."""
-
-    def __init__(self, shards):
-        self.shards = _require_shards(shards)
-        self._next = 0
-
-    def route(self, spec, client: str = "default") -> str:
-        shard = self.shards[self._next]
-        self._next = (self._next + 1) % len(self.shards)
-        return shard
-
-    def route_batch(self, specs, client: str = "default") -> list:
-        n = len(self.shards)
-        out = [self.shards[(self._next + i) % n] for i in range(len(specs))]
-        self._next = (self._next + len(specs)) % n
-        return out
-
-
-class SpecTypeRouter:
-    """Route by spec type (one shard per routine family).
-
-    Lookup walks the spec's MRO, mirroring
-    :class:`~repro.engine.backend.BackendDispatcher`, so registering a
-    base class covers its subclasses.
-    """
-
-    def __init__(self, routes: dict, default: str = None):
-        for klass in routes:
-            if not isinstance(klass, type):
-                raise TypeError("routes keys must be classes")
-        self.routes = dict(routes)
-        self.default = default
-
-    def route(self, spec, client: str = "default") -> str:
-        for klass in type(spec).__mro__:
-            if klass in self.routes:
-                return self.routes[klass]
-        if self.default is not None:
-            return self.default
-        raise TypeError(
-            f"no shard registered for spec type {type(spec).__name__}")
-
-    def route_batch(self, specs, client: str = "default") -> list:
-        memo: dict = {}  # one MRO walk per distinct spec type
-        out = []
-        for spec in specs:
-            klass = type(spec)
-            shard = memo.get(klass)
-            if shard is None:
-                shard = memo[klass] = self.route(spec, client)
-            out.append(shard)
-        return out
-
-
-class RoutineRouter:
-    """Route by the spec's *routine name* (one shard per routine family).
-
-    The name-keyed twin of :class:`SpecTypeRouter`: shards are looked
-    up by the spec's ``routine`` attribute (bare dims triples count as
-    "gemm"), so registry-driven deployments can wire mixed-routine
-    traffic without importing any spec class.  With ``routes`` omitted,
-    each routine maps to the shard of its own name — the natural layout
-    when shards are built from a model registry's ``(routine, machine)``
-    cells.
-    """
-
-    def __init__(self, routes: dict = None, default: str = None):
-        self.routes = dict(routes) if routes is not None else None
-        self.default = default
-
-    def route(self, spec, client: str = "default") -> str:
-        routine = routine_of(spec)
-        if self.routes is None:
-            return routine
-        shard = self.routes.get(routine, self.default)
-        if shard is None:
-            raise KeyError(f"no shard registered for routine {routine!r} "
-                           f"(have {sorted(self.routes)})")
-        return shard
-
-    def route_batch(self, specs, client: str = "default") -> list:
-        memo: dict = {}  # one table lookup per distinct routine name
-        out = []
-        for spec in specs:
-            routine = routine_of(spec)
-            shard = memo.get(routine)
-            if shard is None:
-                if self.routes is None:
-                    shard = routine
-                else:
-                    shard = self.routes.get(routine, self.default)
-                    if shard is None:
-                        raise KeyError(
-                            f"no shard registered for routine {routine!r} "
-                            f"(have {sorted(self.routes)})")
-                memo[routine] = shard
-            out.append(shard)
-        return out
-
-
-class TenantRouter:
-    """Route by client identity (one shard per tenant or tenant group)."""
-
-    def __init__(self, routes: dict, default: str = None):
-        self.routes = dict(routes)
-        self.default = default
-
-    def route(self, spec, client: str = "default") -> str:
-        shard = self.routes.get(client, self.default)
-        if shard is None:
-            raise KeyError(f"no shard registered for client {client!r}")
-        return shard
-
-    def route_batch(self, specs, client: str = "default") -> list:
-        shard = self.routes.get(client, self.default)
-        if shard is None:
-            raise KeyError(f"no shard registered for client {client!r}")
-        return [shard] * len(specs)
 
 
 def default_router(shard_names) -> ShardRouter:

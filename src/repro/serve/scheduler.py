@@ -24,15 +24,10 @@ from dataclasses import dataclass
 from repro.core.routines import routine_of
 from repro.engine.cache import shape_key as _shape_key
 from repro.serve.cost import CostModel
-from repro.serve.request import ReloadCommand, SlabRequest
+from repro.serve.request import ReloadCommand
 
 #: Queue sentinel marking the end of the request stream for a shard.
 SHUTDOWN = object()
-
-
-def _entry_size(entry) -> int:
-    """Request slots a queue entry occupies (slabs carry many)."""
-    return getattr(entry, "count", 1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +77,9 @@ class MicroBatcher:
     telemetry:
         Shared :class:`~repro.serve.telemetry.ServeTelemetry`.
     release:
-        Callback invoked once per request after its future resolves
-        (the server decrements pending/fair-share accounting here).
+        Callback invoked once per queue entry after its future
+        resolves (the server releases the entry's admission slots
+        here).
     shard:
         Shard name, for telemetry attribution.
     collector:
@@ -114,12 +110,6 @@ class MicroBatcher:
         self.collector = collector
         self.after_batch = after_batch
         self.cost_model = cost_model if cost_model is not None else CostModel()
-
-    def _entry_cost(self, entry) -> float:
-        """Predicted cost of a queue entry (a slab prices all its slots)."""
-        if isinstance(entry, SlabRequest):
-            return self.cost_model.total_cost(entry.specs)
-        return self.cost_model.cost_of_one(entry.spec)
 
     async def run(self, queue: asyncio.Queue) -> None:
         """Consume ``queue`` until the shutdown sentinel arrives.
@@ -169,10 +159,10 @@ class MicroBatcher:
         records its reason (``size``/``cost``/``window``/``control``)
         into telemetry.
         """
-        size = sum(_entry_size(r) for r in batch)
+        size = sum(entry.count for entry in batch)
         budget = self.policy.max_batch_cost
-        cost = (sum(self._entry_cost(r) for r in batch)
-                if budget is not None else 0.0)
+        cost = (sum(self.cost_model.total_cost(entry.specs)
+                    for entry in batch) if budget is not None else 0.0)
         deadline = loop.time() + self.policy.max_wait_ms / 1e3
         while size < self.policy.max_batch:
             remaining = deadline - loop.time()
@@ -190,17 +180,17 @@ class MicroBatcher:
             if isinstance(item, ReloadCommand):
                 self.telemetry.record_close(self.shard, "control")
                 return False, item, None
-            if size + _entry_size(item) > self.policy.max_batch:
+            if size + item.count > self.policy.max_batch:
                 self.telemetry.record_close(self.shard, "size")
                 return False, None, item
             if budget is not None:
-                item_cost = self._entry_cost(item)
+                item_cost = self.cost_model.total_cost(item.specs)
                 if cost + item_cost > budget:
                     self.telemetry.record_close(self.shard, "cost")
                     return False, None, item
                 cost += item_cost
             batch.append(item)
-            size += _entry_size(item)
+            size += item.count
         self.telemetry.record_close(self.shard, "size")
         return False, None, None
 
@@ -296,19 +286,14 @@ class MicroBatcher:
         batcher stays suspended here, so per-shard execution remains
         strictly sequential and choices stay deterministic.
 
-        A :class:`SlabRequest` entry contributes all its slots to the
-        flattened spec list and gets its *single* future resolved with
-        the slot-aligned slice of records; telemetry and tracing stay
-        per-request, so slab and streaming submissions are
+        Each slab contributes all its slots to the flattened spec list
+        and gets its *single* future resolved with the slot-aligned
+        slice of records; telemetry and tracing stay per-request, so a
+        burst and the same requests streamed one by one are
         indistinguishable downstream.
         """
         t_start = loop.time()
-        specs = []
-        for entry in batch:
-            if isinstance(entry, SlabRequest):
-                specs.extend(entry.specs)
-            else:
-                specs.append(entry.spec)
+        specs = [spec for entry in batch for spec in entry.specs]
         # Per-batch predicted cost is recorded only under a budget, so
         # count-only serving pays no pricing work on the hot path.
         batch_cost = (self.cost_model.total_cost(specs)
@@ -320,20 +305,13 @@ class MicroBatcher:
                 None, self.service.run_batch, specs)
         except Exception as exc:
             for entry in batch:
-                if isinstance(entry, SlabRequest):
-                    for spec in entry.specs:
-                        self.telemetry.record_failure(
-                            entry.client, routine=routine_of(spec))
-                    if self.collector is not None and entry.traces is not None:
-                        for trace in entry.traces:
-                            trace.status = "error"
-                            self.collector.finish(trace)
-                else:
+                for spec in entry.specs:
                     self.telemetry.record_failure(
-                        entry.client, routine=routine_of(entry.spec))
-                    if self.collector is not None and entry.trace is not None:
-                        entry.trace.status = "error"
-                        self.collector.finish(entry.trace)
+                        entry.client, routine=routine_of(spec))
+                if self.collector is not None and entry.traces is not None:
+                    for trace in entry.traces:
+                        trace.status = "error"
+                        self.collector.finish(trace)
                 if not entry.future.done():
                     entry.future.set_exception(exc)
                 self.release(entry)
@@ -353,31 +331,19 @@ class MicroBatcher:
         n_total = len(specs)
         offset = 0
         for entry in batch:
-            n = _entry_size(entry)
-            if isinstance(entry, SlabRequest):
-                slab_records = list(records[offset:offset + n])
-                for spec in entry.specs:
-                    self.telemetry.record_done(
-                        entry.client, latency=t_done - entry.t_submit,
-                        wait=t_start - entry.t_submit,
-                        routine=routine_of(spec))
-                if not entry.future.done():
-                    entry.future.set_result(slab_records)
-                if self.collector is not None and entry.traces is not None:
-                    for j, (trace, record) in enumerate(
-                            zip(entry.traces, slab_records)):
-                        self._stamp_trace(trace, record, tiers[offset + j],
-                                          n_total, t_form, t_start, t_done)
-            else:
-                record = records[offset]
+            n = entry.count
+            slab_records = list(records[offset:offset + n])
+            for spec in entry.specs:
                 self.telemetry.record_done(
                     entry.client, latency=t_done - entry.t_submit,
                     wait=t_start - entry.t_submit,
-                    routine=routine_of(entry.spec))
-                if not entry.future.done():
-                    entry.future.set_result(record)
-                if self.collector is not None and entry.trace is not None:
-                    self._stamp_trace(entry.trace, record, tiers[offset],
+                    routine=routine_of(spec))
+            if not entry.future.done():
+                entry.future.set_result(slab_records)
+            if self.collector is not None and entry.traces is not None:
+                for j, (trace, record) in enumerate(
+                        zip(entry.traces, slab_records)):
+                    self._stamp_trace(trace, record, tiers[offset + j],
                                       n_total, t_form, t_start, t_done)
             self.release(entry)
             offset += n

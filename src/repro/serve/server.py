@@ -29,10 +29,10 @@ from typing import Optional
 
 from repro.core.routines import routine_of
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.serve.cost import CostModel, chunk_by_cost
+from repro.serve.cost import CostModel, chunk_slots
 from repro.obs.monitors import MonitorSet
 from repro.obs.tracing import RequestTrace, SpanCollector, new_trace_id
-from repro.serve.request import (ReloadCommand, ServeRequest, ServerClosed,
+from repro.serve.request import (ReloadCommand, ServerClosed,
                                  ServerOverloaded, SlabRequest)
 from repro.serve.router import ShardRouter, default_router
 from repro.serve.scheduler import SHUTDOWN, BatchPolicy, MicroBatcher
@@ -189,24 +189,12 @@ class GemmServer:
     def _fair_share_cap(self) -> int:
         return max(1, int(self.max_pending * self.fair_share))
 
-    def _admit(self, client: str, routine: str) -> None:
-        if self._pending >= self.max_pending:
-            self.telemetry.record_rejection(client, "overload",
-                                            routine=routine)
-            raise ServerOverloaded(
-                f"{self._pending} requests pending (limit {self.max_pending})",
-                client=client, reason="overload")
-        if (self.fair_share is not None
-                and self._client_pending.get(client, 0) >= self._fair_share_cap()):
-            self.telemetry.record_rejection(client, "fair_share",
-                                            routine=routine)
-            raise ServerOverloaded(
-                f"client {client!r} holds {self._client_pending[client]} of "
-                f"{self.max_pending} admission slots (fair-share cap "
-                f"{self._fair_share_cap()})", client=client,
-                reason="fair_share")
-        self._pending += 1
-        self._client_pending[client] = self._client_pending.get(client, 0) + 1
+    def _check_open(self) -> None:
+        if not self._started:
+            raise ServerClosed(
+                "server not started (use 'async with' or start())")
+        if self._closing:
+            raise ServerClosed("server is shutting down")
 
     def _admit_many(self, client: str, routines: list) -> None:
         """All-or-nothing admission of a burst of ``len(routines)`` slots.
@@ -214,7 +202,8 @@ class GemmServer:
         A burst that does not fit — the hard limit or the client's
         fair share — is rejected whole: partially admitting a slab
         would hand the caller a result list with holes.  Rejection
-        telemetry records every slot, per routine.
+        telemetry records every slot, per routine.  A single request
+        is a burst of one.
         """
         n = len(routines)
 
@@ -239,16 +228,13 @@ class GemmServer:
         self._pending += n
         self._client_pending[client] = self._client_pending.get(client, 0) + n
 
-    def _release(self, request) -> None:
-        # A SlabRequest releases all its slots at once; plain requests
-        # count one.
-        n = getattr(request, "count", 1)
-        self._pending -= n
-        remaining = self._client_pending[request.client] - n
+    def _release(self, entry: SlabRequest) -> None:
+        self._pending -= entry.count
+        remaining = self._client_pending[entry.client] - entry.count
         if remaining > 0:
-            self._client_pending[request.client] = remaining
+            self._client_pending[entry.client] = remaining
         else:
-            del self._client_pending[request.client]  # no unbounded growth
+            del self._client_pending[entry.client]  # no unbounded growth
 
     def _after_batch(self) -> None:
         """Per-executed-batch hook: evaluate the drift monitors."""
@@ -266,79 +252,23 @@ class GemmServer:
         return self.cost_model.cost_of(list(specs))
 
     # -- serving ---------------------------------------------------------
-    async def submit(self, spec, client: str = "default",
-                     shard: Optional[str] = None,
-                     trace_id: Optional[str] = None):
-        """Admit, route, enqueue and await one request.
+    async def _enqueue(self, specs: list, client: str,
+                       shard: Optional[str] = None,
+                       trace_id: Optional[str] = None) -> list:
+        """Route, admit and enqueue ``specs``; ``[(slab, input slots)]``.
 
-        Returns the :class:`~repro.engine.service.GemmCallRecord` the
-        shard produced.  ``shard`` overrides the router (explicit
-        tenant targeting); backpressure is an ``await``, overload an
-        exception.  ``trace_id`` names the request's span chain when
-        tracing is enabled (one is generated otherwise) and is ignored
-        on an untraced server.
+        The burst is routed in one ``route_batch`` call (``shard``
+        overrides the router), admitted all-or-nothing, and each
+        shard's slots are chopped into ``max_batch``-sized slabs (or
+        fewer slots under a ``max_batch_cost`` budget), one queue put
+        and one future each.  Backpressure is an ``await``, overload an
+        exception.
         """
-        if not self._started:
-            raise ServerClosed("server not started (use 'async with' or start())")
-        if self._closing:
-            raise ServerClosed("server is shutting down")
-        shard_name = shard if shard is not None \
-            else self.router.route(spec, client)
-        if shard_name not in self._queues:
-            raise KeyError(f"unknown shard {shard_name!r} "
-                           f"(have {sorted(self._queues)})")
-        routine = routine_of(spec)
-        self._admit(client, routine)
-        loop = asyncio.get_running_loop()
-        queue = self._queues[shard_name]
-        depth = queue.qsize()
-        t_submit = loop.time()
-        trace = None
-        if self.collector is not None:
-            trace = RequestTrace(
-                trace_id if trace_id is not None else new_trace_id(),
-                client, routine, shard_name, depth, t_submit)
-        request = ServeRequest(spec=spec, client=client,
-                               future=loop.create_future(),
-                               t_submit=t_submit, shard=shard_name,
-                               trace=trace)
-        self.telemetry.record_admission(client, queue_depth=depth,
-                                        routine=routine)
-        try:
-            await queue.put(request)  # backpressure: await-until-slot
-        except asyncio.CancelledError:
-            self._release(request)
-            raise
-        return await request.future
-
-    async def submit_many(self, specs, client: str = "default") -> list:
-        """Submit a burst as slotted slabs; records come back in input order.
-
-        The whole burst is routed in one ``route_batch`` call, admitted
-        all-or-nothing, and enqueued as
-        :class:`~repro.serve.request.SlabRequest` entries — one queue
-        put and **one future per micro-batch** (each shard's slots are
-        chopped into ``max_batch``-sized slabs), not one per request.
-        The batcher resolves each slab future once with the
-        slot-aligned record list and the results scatter back to the
-        caller's original order, so the returned list is exactly what
-        per-request :meth:`submit` calls would have produced — the
-        per-request event-loop bookkeeping (future churn, queue puts,
-        coroutine scheduling) just drops from O(requests) to
-        O(micro-batches).  The streaming path keeps :meth:`submit`.
-        """
-        if not self._started:
-            raise ServerClosed("server not started (use 'async with' or start())")
-        if self._closing:
-            raise ServerClosed("server is shutting down")
-        specs = list(specs)
+        self._check_open()
         if not specs:
             return []
-        route_batch = getattr(self.router, "route_batch", None)
-        if route_batch is not None:
-            shard_names = list(route_batch(specs, client))
-        else:
-            shard_names = [self.router.route(spec, client) for spec in specs]
+        shard_names = ([shard] * len(specs) if shard is not None
+                       else self.router.route_batch(specs, client))
         by_shard: dict = {}  # shard name -> input slot indices, in order
         for slot, name in enumerate(shard_names):
             if name not in self._queues:
@@ -348,26 +278,21 @@ class GemmServer:
         routines = [routine_of(spec) for spec in specs]
         self._admit_many(client, routines)
         loop = asyncio.get_running_loop()
-        max_batch = self.policy.max_batch
         budget = self.policy.max_batch_cost
         costs = self.cost_model.cost_of(specs) if budget is not None else None
         slabs = []  # (slab, its input slots)
         for name, slots in by_shard.items():
             queue = self._queues[name]
-            if budget is not None:
-                chunks = chunk_by_cost(slots, [costs[i] for i in slots],
-                                       max_batch, budget)
-            else:
-                chunks = (slots[start:start + max_batch]
-                          for start in range(0, len(slots), max_batch))
-            for chunk in chunks:
+            for chunk in chunk_slots(slots, self.policy.max_batch, costs,
+                                     budget):
                 depth = queue.qsize()
                 t_submit = loop.time()
                 traces = None
                 if self.collector is not None:
-                    traces = [RequestTrace(new_trace_id(), client,
-                                           routines[i], name, depth, t_submit)
-                              for i in chunk]
+                    traces = [RequestTrace(
+                        trace_id if trace_id is not None else new_trace_id(),
+                        client, routines[i], name, depth, t_submit)
+                        for i in chunk]
                 slab = SlabRequest(specs=[specs[i] for i in chunk],
                                    client=client,
                                    future=loop.create_future(),
@@ -387,6 +312,42 @@ class GemmServer:
             for slab, _ in slabs[enqueued:]:
                 self._release(slab)  # enqueued slabs release via the batcher
             raise
+        return slabs
+
+    async def submit(self, spec, client: str = "default",
+                     shard: Optional[str] = None,
+                     trace_id: Optional[str] = None):
+        """Admit, route, enqueue and await one request.
+
+        Returns the :class:`~repro.engine.service.GemmCallRecord` the
+        shard produced.  The request travels as a slab of one, the same
+        queue entry :meth:`submit_many` uses.  ``shard`` overrides the
+        router (explicit tenant targeting); backpressure is an
+        ``await``, overload an exception.  ``trace_id`` names the
+        request's span chain when tracing is enabled (one is generated
+        otherwise) and is ignored on an untraced server.
+        """
+        [(slab, _)] = await self._enqueue([spec], client, shard, trace_id)
+        return (await slab.future)[0]
+
+    async def submit_many(self, specs, client: str = "default") -> list:
+        """Submit a burst as slotted slabs; records come back in input order.
+
+        The whole burst is routed in one ``route_batch`` call, admitted
+        all-or-nothing, and enqueued as
+        :class:`~repro.serve.request.SlabRequest` entries — one queue
+        put and **one future per micro-batch** (each shard's slots are
+        chopped into ``max_batch``-sized slabs), not one per request.
+        The batcher resolves each slab future once with the
+        slot-aligned record list and the results scatter back to the
+        caller's original order, so the returned list is exactly what
+        per-request :meth:`submit` calls would have produced — the
+        per-request event-loop bookkeeping (future churn, queue puts,
+        coroutine scheduling) just drops from O(requests) to
+        O(micro-batches).
+        """
+        specs = list(specs)
+        slabs = await self._enqueue(specs, client)
         results = [None] * len(specs)
         outcomes = await asyncio.gather(*(slab.future for slab, _ in slabs),
                                         return_exceptions=True)
@@ -423,10 +384,7 @@ class GemmServer:
         ``config.routine`` tag), leaving every other routine serving
         untouched.
         """
-        if not self._started:
-            raise ServerClosed("server not started (use 'async with' or start())")
-        if self._closing:
-            raise ServerClosed("server is shutting down")
+        self._check_open()
         targets = list(self._queues) if shard is None else [shard]
         for name in targets:
             if name not in self._queues:

@@ -83,10 +83,13 @@ class ServeTelemetry:
             client, {"submitted": 0, "served": 0, "failed": 0, "rejected": 0})
 
     def _routine(self, routine: str) -> dict:
-        return self.per_routine.setdefault(
-            routine, {"submitted": 0, "served": 0, "failed": 0,
-                      "rejected": 0, "latencies": Reservoir(self._capacity),
-                      "waits": Reservoir(self._capacity)})
+        entry = self.per_routine.get(routine)
+        if entry is None:  # built on first sight, not on every call
+            entry = self.per_routine[routine] = {
+                "submitted": 0, "served": 0, "failed": 0, "rejected": 0,
+                "latencies": Reservoir(self._capacity),
+                "waits": Reservoir(self._capacity)}
+        return entry
 
     def record_admission(self, client: str, queue_depth: int,
                          routine: Optional[str] = None, n: int = 1) -> None:

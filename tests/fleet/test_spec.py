@@ -4,8 +4,9 @@ import pickle
 
 import pytest
 
-from repro.fleet import (WorkerSpec, chunk_slots, chunk_slots_by_cost,
+from repro.fleet import (FleetServer, WorkerSpec, chunk_slots,
                          resolve_factory)
+from repro.serve import CostModel
 
 
 class TestWorkerSpec:
@@ -85,31 +86,51 @@ class TestChunkSlots:
 class TestChunkSlotsByCost:
     def test_no_budget_matches_count_chunking(self):
         slots = list(range(10))
-        assert list(chunk_slots_by_cost(slots, [1.0] * 10, 4, None)) \
-            == list(chunk_slots(slots, 4))
+        assert chunk_slots(slots, 4, [1.0] * 10, None) \
+            == chunk_slots(slots, 4)
 
     def test_budget_splits_before_overflow(self):
-        chunks = list(chunk_slots_by_cost([7, 8, 9], [5.0, 5.0, 5.0],
-                                          16, 10.0))
+        # costs are indexed by slot: slots are positions in a burst.
+        chunks = chunk_slots([7, 8, 9], 16, {7: 5.0, 8: 5.0, 9: 5.0}, 10.0)
         assert chunks == [[7, 8], [9]]
 
     def test_oversized_slot_frames_alone(self):
-        assert list(chunk_slots_by_cost([0, 1], [99.0, 1.0], 16, 10.0)) \
-            == [[0], [1]]
+        assert chunk_slots([0, 1], 16, [99.0, 1.0], 10.0) == [[0], [1]]
 
     def test_empty_and_singleton_edges(self):
-        assert list(chunk_slots_by_cost([], [], 4, 10.0)) == []
-        assert list(chunk_slots_by_cost([5, 6], [1.0, 1.0], 1, 10.0)) \
-            == [[5], [6]]
+        assert chunk_slots([], 4, [], 10.0) == []
+        assert chunk_slots([5, 6], 1, {5: 1.0, 6: 1.0}, 10.0) == [[5], [6]]
 
     def test_ragged_tail_covers_in_order(self):
         slots = list(range(7))
         costs = [2.0] * 7
-        chunks = list(chunk_slots_by_cost(slots, costs, 3, 100.0))
+        chunks = chunk_slots(slots, 3, costs, 100.0)
         assert chunks == [[0, 1, 2], [3, 4, 5], [6]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            list(chunk_slots_by_cost([1], [1.0], 0, None))
+            chunk_slots([1], 0, [1.0], None)
         with pytest.raises(ValueError):
-            list(chunk_slots_by_cost([1], [1.0], 4, -1.0))
+            chunk_slots([1], 4, [0.0, 1.0], -1.0)
+
+
+class TestFromRegistryKeywords:
+    def test_front_keywords_reach_the_front(self, tmp_path):
+        """Front-only keywords configure the FleetServer; the rest reach
+        every WorkerSpec.  Constructing the fleet spawns nothing."""
+        cost_model = CostModel()
+        fleet = FleetServer.from_registry(
+            tmp_path, "tiny", workers=2, max_pending=5, max_batch=4,
+            cost_model=cost_model, spawn_timeout_s=3.0,
+            stats_timeout_s=2.0, max_queue=32)
+        assert fleet.max_pending == 5
+        assert fleet.cost_model is cost_model
+        assert fleet.spawn_timeout_s == 3.0
+        assert fleet.stats_timeout_s == 2.0
+        specs = [worker.spec for worker in fleet._workers.values()]
+        assert [s.name for s in specs] == ["worker-0", "worker-1"]
+        assert {(s.max_batch, s.max_queue) for s in specs} == {(4, 32)}
+
+    def test_worker_keywords_still_rejected_when_unknown(self, tmp_path):
+        with pytest.raises(TypeError):
+            FleetServer.from_registry(tmp_path, "tiny", no_such_knob=1)

@@ -33,6 +33,11 @@ class TestRoutineRouter:
         assert router.route(GemmSpec(8, 8, 8)) == "gemm"
         assert router.route((8, 8, 8)) == "gemm"
 
+        class FancyGemm(GemmSpec):  # subclasses inherit the routine tag
+            pass
+
+        assert router.route(FancyGemm(8, 8, 8)) == "gemm"
+
     def test_explicit_routes_with_default(self):
         router = RoutineRouter({"gemv": "level2"}, default="level3")
         assert router.route(GemvSpec(m=8, n=8)) == "level2"

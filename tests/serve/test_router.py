@@ -1,14 +1,41 @@
-"""Shard routing: determinism, MRO dispatch, tenant mapping."""
+"""Shard routing: determinism, pinned assignments, tenant mapping."""
 
 import asyncio
 
 import pytest
 
+from repro.blas.gemv import GemvSpec
 from repro.blas.syrk import SyrkSpec
+from repro.blas.trsm import TrsmSpec
 from repro.gemm.interface import GemmSpec
-from repro.serve import (GemmServer, HashRouter, RoundRobinRouter,
-                         SingleShardRouter, SpecTypeRouter, TenantRouter,
-                         default_router)
+from repro.serve import (CanaryRouter, ConsistentHashRouter, GemmServer,
+                         HashRouter, LeastLoadedRouter, RoutineRouter,
+                         SingleShardRouter, TenantRouter, default_router)
+
+#: A mixed burst: repeated GEMM shapes, other routines, a bare triple.
+MIXED = ([GemmSpec(16 + 8 * i, 64, 48) for i in range(12)]
+         + [GemvSpec(m=64 + i, n=32) for i in range(4)]
+         + [SyrkSpec(n=32, k=16 + i) for i in range(4)]
+         + [(64, 64, 64)])
+
+STATELESS_ROUTERS = {
+    "single": lambda: SingleShardRouter("only"),
+    "hash": lambda: HashRouter(["gadi", "setonix", "tiny"]),
+    "consistent_hash": lambda: ConsistentHashRouter(["w0", "w1", "w2"]),
+    "routine": lambda: RoutineRouter(),
+    "tenant": lambda: TenantRouter({"team-b": "setonix"}, default="gadi"),
+    "canary": lambda: CanaryRouter(HashRouter(["east", "west"]), "canary",
+                                   fraction=0.3),
+}
+
+
+@pytest.mark.parametrize("make", list(STATELESS_ROUTERS.values()),
+                         ids=list(STATELESS_ROUTERS))
+def test_route_batch_equals_scalar_route(make):
+    specs = MIXED + MIXED[:5] + [TrsmSpec(m=8, n=8)]
+    for client in ("default", "team-b"):
+        assert make().route_batch(specs, client) == \
+            [make().route(spec, client) for spec in specs]
 
 
 class TestHashRouter:
@@ -33,36 +60,13 @@ class TestHashRouter:
         with pytest.raises(ValueError):
             HashRouter([])
 
-
-class TestRoundRobinRouter:
-    def test_cycles_in_order(self):
-        router = RoundRobinRouter(["a", "b", "c"])
-        spec = GemmSpec(8, 8, 8)
-        assert [router.route(spec) for _ in range(7)] == \
-            ["a", "b", "c", "a", "b", "c", "a"]
-
-
-class TestSpecTypeRouter:
-    def test_routes_by_type_with_default(self):
-        router = SpecTypeRouter({SyrkSpec: "routines"}, default="gemm")
-        assert router.route(SyrkSpec(n=8, k=8)) == "routines"
-        assert router.route(GemmSpec(8, 8, 8)) == "gemm"
-
-    def test_subclass_inherits_route(self):
-        class FancyGemm(GemmSpec):
-            pass
-
-        router = SpecTypeRouter({GemmSpec: "gemm"})
-        assert router.route(FancyGemm(8, 8, 8)) == "gemm"
-
-    def test_no_match_without_default_raises(self):
-        router = SpecTypeRouter({SyrkSpec: "routines"})
-        with pytest.raises(TypeError):
-            router.route(GemmSpec(8, 8, 8))
-
-    def test_non_class_key_rejected(self):
-        with pytest.raises(TypeError):
-            SpecTypeRouter({"gemm": "gemm"})
+    def test_assignments_pinned(self):
+        # hash % n across shards that are not alike (serve --machine
+        # gadi setonix): a moved key would change its thread selection.
+        names = {"g": "gadi", "s": "setonix", "t": "tiny"}
+        router = HashRouter(["gadi", "setonix", "tiny"])
+        assert router.route_batch(MIXED) == \
+            [names[c] for c in "ttsttsstgsgstttsgssgt"]
 
 
 class TestTenantRouter:
@@ -131,24 +135,22 @@ class TestServerSharding:
 
 class TestConsistentHashRouter:
     def test_deterministic_across_instances(self):
-        from repro.serve import ConsistentHashRouter
-
         a = ConsistentHashRouter(["w0", "w1", "w2"])
         b = ConsistentHashRouter(["w0", "w1", "w2"])
         specs = [GemmSpec(16 + i, 64, 64) for i in range(50)]
         assert [a.route(s) for s in specs] == [b.route(s) for s in specs]
-        assert a.route_batch(specs) == [a.route(s) for s in specs]
+
+    def test_assignments_pinned(self):
+        router = ConsistentHashRouter(["w0", "w1", "w2"])
+        assert router.route_batch(MIXED) == \
+            [f"w{c}" for c in "001001122022010201011"]
 
     def test_spreads_across_shards(self):
-        from repro.serve import ConsistentHashRouter
-
         router = ConsistentHashRouter(["w0", "w1", "w2"])
         hit = {router.route(GemmSpec(16 + i, 64, 64)) for i in range(80)}
         assert hit == {"w0", "w1", "w2"}
 
     def test_removal_only_remaps_lost_shard_keys(self):
-        from repro.serve import ConsistentHashRouter
-
         router = ConsistentHashRouter(["w0", "w1", "w2"])
         specs = [GemmSpec(16 + i, 64, 64) for i in range(100)]
         before = [router.route(s) for s in specs]
@@ -163,8 +165,6 @@ class TestConsistentHashRouter:
                 assert owner_after in {"w0", "w2"}
 
     def test_add_restores_prior_assignment(self):
-        from repro.serve import ConsistentHashRouter
-
         router = ConsistentHashRouter(["w0", "w1", "w2"])
         specs = [GemmSpec(16 + i, 64, 64) for i in range(60)]
         before = [router.route(s) for s in specs]
@@ -173,8 +173,6 @@ class TestConsistentHashRouter:
         assert [router.route(s) for s in specs] == before
 
     def test_cannot_empty_the_ring(self):
-        from repro.serve import ConsistentHashRouter
-
         router = ConsistentHashRouter(["only"])
         with pytest.raises(ValueError):
             router.remove("only")
@@ -182,8 +180,6 @@ class TestConsistentHashRouter:
 
 class TestLeastLoadedRouter:
     def test_routes_to_minimum_with_stable_ties(self):
-        from repro.serve import LeastLoadedRouter
-
         loads = {"w0": 2, "w1": 0, "w2": 0}
         router = LeastLoadedRouter(["w0", "w1", "w2"], loads=loads)
         # Tie between w1 and w2 breaks by registration order.
@@ -192,15 +188,11 @@ class TestLeastLoadedRouter:
         assert router.route(GemmSpec(8, 8, 8)) == "w2"
 
     def test_accepts_callable_loads(self):
-        from repro.serve import LeastLoadedRouter
-
         live = {"w0": 3, "w1": 1}
         router = LeastLoadedRouter(["w0", "w1"], loads=lambda: live)
         assert router.route(GemmSpec(8, 8, 8)) == "w1"
 
     def test_batch_spreads_by_simulated_admission(self):
-        from repro.serve import LeastLoadedRouter
-
         router = LeastLoadedRouter(["w0", "w1"],
                                    loads={"w0": 0, "w1": 0})
         specs = [GemmSpec(8 + i, 8, 8) for i in range(6)]
@@ -213,19 +205,21 @@ class TestLeastLoadedRouter:
 
 class TestCanaryRouter:
     def test_split_is_deterministic_and_disjoint(self):
-        from repro.serve import CanaryRouter, SingleShardRouter
-
         base = SingleShardRouter("stable")
         router = CanaryRouter(base, "canary", fraction=0.5)
         specs = [GemmSpec(16 + i, 64, 64) for i in range(60)]
         first = [router.route(s) for s in specs]
         assert first == [router.route(s) for s in specs]
-        assert first == router.route_batch(specs)
         assert {"stable", "canary"} == set(first)
 
-    def test_fraction_bounds(self):
-        from repro.serve import CanaryRouter, SingleShardRouter
+    def test_split_pinned(self):
+        router = CanaryRouter(SingleShardRouter("stable"), "canary",
+                              fraction=0.25)
+        names = {"s": "stable", "c": "canary"}
+        assert router.route_batch(MIXED) == \
+            [names[c] for c in "sccssscccssssssssssss"]
 
+    def test_fraction_bounds(self):
         base = SingleShardRouter("stable")
         all_canary = CanaryRouter(base, "canary", fraction=1.0)
         no_canary = CanaryRouter(base, "canary", fraction=0.0)
@@ -236,14 +230,13 @@ class TestCanaryRouter:
             CanaryRouter(base, "canary", fraction=1.5)
 
     def test_stateful_base_sees_only_its_own_slots(self):
-        from repro.serve import CanaryRouter, RoundRobinRouter
-
         specs = [GemmSpec(16 + i, 64, 64) for i in range(40)]
-        solo = RoundRobinRouter(["a", "b"])
-        wrapped = RoundRobinRouter(["a", "b"])
+        solo = LeastLoadedRouter(["a", "b", "c"])
+        wrapped = LeastLoadedRouter(["a", "b", "c"])
         router = CanaryRouter(wrapped, "canary", fraction=0.4)
         assignment = router.route_batch(specs)
         rest = [name for name in assignment if name != "canary"]
-        # The wrapped round-robin advanced once per non-canary slot:
-        # its assignment equals routing just those slots standalone.
+        # The wrapped least-loaded base counted one slot per non-canary
+        # spec: its assignment equals routing just those slots alone.
+        assert 0 < len(rest) < len(specs)
         assert rest == solo.route_batch(specs[:len(rest)])

@@ -11,7 +11,8 @@ import asyncio
 import pytest
 
 from repro.gemm.interface import GemmSpec
-from repro.serve import GemmServer, ServerClosed, ServerOverloaded
+from repro.serve import (GemmServer, ServerClosed, ServerOverloaded,
+                         ShardRouter)
 from repro.serve.request import SlabRequest
 
 from .conftest import ExplodingBackend
@@ -40,6 +41,39 @@ class TestSlabParity:
         single_records = asyncio.run(streaming())
         assert [(r.spec, r.n_threads) for r in slab_records] \
             == [(r.spec, r.n_threads) for r in single_records]
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_streaming_and_slab_records_and_counters_match(
+            self, make_service, distinct_specs, tracing):
+        """Streamed ``submit`` calls and one ``submit_many`` give the
+        same records and the same telemetry counters."""
+        specs = distinct_specs + distinct_specs[:6]  # repeats hit the cache
+
+        async def serve(streamed):
+            async with GemmServer(make_service(), max_batch=4,
+                                  max_wait_ms=5.0, tracing=tracing,
+                                  fair_share=None) as server:
+                if streamed:
+                    records = await asyncio.gather(
+                        *(server.submit(s, client="c") for s in specs))
+                else:
+                    records = await server.submit_many(specs, client="c")
+                return records, server.stats()
+
+        def counters(stats):
+            return (stats["submitted"], stats["served"], stats["clients"],
+                    {routine: (row["submitted"], row["served"])
+                     for routine, row in stats["routines"].items()})
+
+        slab_records, slab_stats = asyncio.run(serve(streamed=False))
+        stream_records, stream_stats = asyncio.run(serve(streamed=True))
+        assert [(r.n_threads, r.runtime) for r in slab_records] \
+            == [(r.n_threads, r.runtime) for r in stream_records]
+        assert counters(slab_stats) == counters(stream_stats)
+        assert slab_stats["submitted"] == len(specs)
+        if tracing:
+            assert slab_stats["trace"]["complete"] == len(specs)
+            assert stream_stats["trace"] == slab_stats["trace"]
 
     def test_results_scatter_back_to_input_order(self, make_service):
         specs = burst(23)[::-1]  # descending m: order must be preserved
@@ -172,9 +206,9 @@ class TestSlabFailureModes:
             asyncio.run(run())
 
     def test_unknown_shard_rejected_before_admission(self, make_service):
-        class LostRouter:
-            def route(self, spec, client):
-                return "nowhere"
+        class LostRouter(ShardRouter):
+            def route_batch(self, specs, client="default"):
+                return ["nowhere"] * len(specs)
 
         server = GemmServer({"default": make_service()}, router=LostRouter())
 

@@ -4,7 +4,9 @@ import asyncio
 
 import pytest
 
+import repro.serve.telemetry as telemetry_module
 from repro.bench.stats import LatencySummary
+from repro.obs.metrics import MetricsRegistry, Reservoir
 from repro.serve import GemmServer, ServeTelemetry, poisson_trace, replay_trace
 
 
@@ -37,6 +39,45 @@ class TestServeTelemetryUnit:
         row = t.stats()["latency_ms"]
         assert row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"] <= row["max_ms"]
         assert row["n"] == 5
+
+    def test_saturated_sample_and_stats_pinned(self, monkeypatch):
+        """A stream twice the capacity long: the retained sample and
+        the stats are exactly those of eagerly built reservoirs, and a
+        routine's reservoirs are built once, on first sight."""
+        built = []
+
+        def counting_reservoir(*args, **kwargs):
+            built.append(1)
+            return Reservoir(*args, **kwargs)
+
+        reservoir = Reservoir(capacity=8)
+        reservoir.extend(float(i) for i in range(8))
+        assert reservoir._rng is None  # no draw before saturation
+        reservoir.extend(float(i) for i in range(8, 16))
+        assert list(reservoir) == [10.0, 1.0, 2.0, 3.0, 11.0, 5.0, 14.0,
+                                   13.0]
+
+        monkeypatch.setattr(telemetry_module, "Reservoir",
+                            counting_reservoir)
+        t = ServeTelemetry(capacity=8, registry=MetricsRegistry())
+        n_global = len(built)
+        for i in range(16):
+            t.record_admission("c", queue_depth=i % 3, routine="gemm")
+            t.record_done("c", latency=0.001 * (i + 1), wait=0.0005 * i,
+                          routine="gemm")
+        assert len(built) - n_global == 2  # latencies + waits, once
+        latency = {"mean_ms": 8.375, "p50_ms": 8.5, "p95_ms": 14.65,
+                   "p99_ms": 14.93, "max_ms": 15.0, "n": 8}
+        wait = {"mean_ms": 3.688, "p50_ms": 3.75, "p95_ms": 6.825,
+                "p99_ms": 6.965, "max_ms": 7.0, "n": 8}
+        counts = {"submitted": 16, "served": 16, "failed": 0, "rejected": 0}
+        stats = t.stats()
+        assert stats["latency_ms"] == latency
+        assert stats["queue_wait_ms"] == wait
+        assert stats["routines"] == {
+            "gemm": {**counts, "latency_ms": latency,
+                     "queue_wait_ms": wait}}
+        assert stats["clients"] == {"c": counts}
 
     def test_empty_stats_have_no_latency(self):
         stats = ServeTelemetry().stats()
